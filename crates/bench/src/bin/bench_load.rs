@@ -4,10 +4,11 @@
 //! Three phases against one warm engine on this box:
 //!
 //! 1. **Closed-loop curves** — throughput and p50/p99 latency vs
-//!    concurrency for three client modes over a non-batching server: the v1
-//!    one-connection-per-request path (`oneshot_request`), one pipelined
-//!    [`Session`] per thread issuing serial requests, and one session per
-//!    thread issuing pipelined 16-deep bursts (`score_many`). The headline
+//!    concurrency for three client modes over a non-batching server:
+//!    `oneshot` opens a fresh [`Session`] per request (one connection, and
+//!    its handshake, per request), `session` keeps one pipelined session
+//!    per thread issuing serial requests, and `pipelined` keeps one session
+//!    per thread issuing 16-deep bursts (`score_many`). The headline
 //!    numbers are `session_speedup_at_8` and `pipelined_speedup_at_8`:
 //!    warm scores/sec at concurrency 8 relative to oneshot — the pipelined
 //!    figure is what the multiplexed edge buys.
@@ -29,7 +30,7 @@
 //! `--smoke` shrinks every request count so the whole report runs in a few
 //! seconds (used by `scripts/verify.sh` as a wiring check, not a benchmark).
 
-use rmpi_client::{oneshot_request, Client, ClientConfig, ProtocolClient, Session};
+use rmpi_client::{Client, ClientConfig, ProtocolClient, Session};
 use rmpi_core::{RmpiConfig, RmpiModel};
 use rmpi_datasets::{build_benchmark, Scale};
 use rmpi_kg::Triple;
@@ -116,9 +117,10 @@ fn closed_loop_cell(
             "oneshot" => {
                 for i in 0..reqs {
                     let q = triples[(t + i) % triples.len()];
-                    let line = format!("SCORE {} {} {}", q.head.0, q.relation.0, q.tail.0);
                     let r0 = Instant::now();
-                    oneshot_request(addr, &cfg, &line).expect("oneshot score");
+                    Session::connect(addr, &cfg)
+                        .and_then(|session| session.score(q.head.0, q.relation.0, q.tail.0))
+                        .expect("oneshot score");
                     latency.record_duration(r0.elapsed());
                     produced += 1;
                 }

@@ -25,8 +25,9 @@ pub enum ClientError {
     /// arrived. The line protocol makes every cut response detectable: a
     /// reply without its trailing newline is damage, never data. Retryable.
     TruncatedResponse,
-    /// A complete line arrived but was not `OK ...` / `ERR ...`. Retryable
-    /// for pure verbs (transport damage), but counts against the budget.
+    /// A complete line arrived but was not `OK ...` / `ERR ...` (or, as the
+    /// session hello, not `OK proto=2`). Retryable for pure verbs
+    /// (transport damage), but counts against the budget.
     Protocol(String),
     /// The server answered `ERR <message>`. `transient` is true for
     /// overload/conn-limit/deadline shedding (retry elsewhere), false for

@@ -19,7 +19,7 @@
 use crate::backoff::Backoff;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::budget::RetryBudget;
-use crate::client::{is_transport_error, oneshot_request, ClientConfig, ProtocolClient};
+use crate::client::{is_transport_error, ClientConfig, ProtocolClient};
 use crate::error::ClientError;
 use crate::session::Session;
 use crate::stats::ClientStats;
@@ -118,10 +118,12 @@ impl FailoverClient {
                 continue;
             }
             if was_open {
-                // half-open: one probe decides. The probe is a one-shot
-                // exchange on purpose: it must judge the *endpoint*, not
+                // half-open: one probe decides. The probe opens a fresh
+                // session on purpose: it must judge the *endpoint*, not
                 // whatever state a cached session is in.
-                match oneshot_request(self.endpoints[idx].addr, &self.cfg, "HEALTH") {
+                let probe = Session::connect(self.endpoints[idx].addr, &self.cfg)
+                    .and_then(|session| session.health());
+                match probe {
                     Ok(_) => self.endpoints[idx].breaker.record_success(),
                     Err(_) => {
                         if self.endpoints[idx].breaker.record_failure(Instant::now()) {
@@ -139,8 +141,7 @@ impl FailoverClient {
     /// One attempt against endpoint `idx` over its cached session,
     /// (re)connecting first if the cache is empty or dead. Transport-level
     /// failures invalidate the cache. With a `wait`, the caller stops
-    /// waiting for this attempt's response after that long (v2 sessions;
-    /// the v1 fallback keeps the socket clock).
+    /// waiting for this attempt's response after that long.
     fn attempt_on(
         &mut self,
         idx: usize,
@@ -312,8 +313,15 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    /// A controllable fake replica: answers `OK pong` to every line while
-    /// `healthy`; when unhealthy it drops new connections without answering
+    /// Split a tagged request `ID <tag> <inner>` into tag and inner request.
+    fn split_tag(line: &str) -> (u64, &str) {
+        let (tag, inner) = line.strip_prefix("ID ").and_then(|r| r.split_once(' ')).unwrap();
+        (tag.parse().unwrap(), inner)
+    }
+
+    /// A controllable fake v2 replica: accepts the `PROTO 2` hello and
+    /// answers `OK pong` (tagged) to every request while `healthy`; when
+    /// unhealthy it drops new connections without answering
     /// **and** cuts established ones at their next request, so cached
     /// sessions die too (as a real crashed replica's would).
     struct FakeReplica {
@@ -346,7 +354,11 @@ mod tests {
                         if !h.load(Ordering::SeqCst) {
                             break; // cut mid-session: the client sees truncation
                         }
-                        if writeln!(conn, "OK pong").is_err() {
+                        let reply = match line.trim_end() {
+                            "PROTO 2" => "OK proto=2".to_owned(),
+                            tagged => format!("ID {} OK pong", split_tag(tagged).0),
+                        };
+                        if writeln!(conn, "{reply}").is_err() {
                             break;
                         }
                         line.clear();
@@ -466,18 +478,19 @@ mod tests {
                 let mut reader = BufReader::new(conn.try_clone().unwrap());
                 let mut conn = conn;
                 let mut line = String::new();
-                // answer the PROTO probe with a non-v2 frame: v1 fallback
+                // accept the PROTO 2 hello, then take one tagged request
                 if reader.read_line(&mut line).map(|n| n == 0).unwrap_or(true) {
                     continue;
                 }
-                if writeln!(conn, "OK v1").is_err() {
+                if writeln!(conn, "OK proto=2").is_err() {
                     continue;
                 }
                 line.clear();
                 if reader.read_line(&mut line).map(|n| n == 0).unwrap_or(true) {
                     continue;
                 }
-                server_lines.lock().unwrap().push(line.trim_end().to_owned());
+                let (tag, inner) = split_tag(line.trim_end());
+                server_lines.lock().unwrap().push(inner.to_owned());
                 served += 1;
                 if served <= 2 {
                     // burn some budget, then cut the connection so the
@@ -485,7 +498,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(20));
                     continue; // conn drops here
                 }
-                writeln!(conn, "OK pong").unwrap();
+                writeln!(conn, "ID {tag} OK pong").unwrap();
                 return;
             }
         });

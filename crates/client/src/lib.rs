@@ -20,12 +20,11 @@
 //!   timed cooldown, half-open probe.
 //! - [`session`]: a persistent, pipelined protocol-v2 connection
 //!   ([`Session`]) — many requests in flight at once, demultiplexed by tag,
-//!   with a one-typed-error-per-in-flight-request death contract — plus a
-//!   small [`ClientPool`] of reusable sessions.
+//!   with a one-typed-error-per-in-flight-request death contract. It is
+//!   the crate's only transport.
 //! - [`Client`]: one endpoint, timeouts on connect/read/write, retry loop.
 //!   Requests ride a cached [`Session`] (reopened transparently after
-//!   transport failures); the legacy connection-per-request path survives
-//!   as [`client::oneshot_request`].
+//!   transport failures).
 //! - [`FailoverClient`]: a replica set with sticky endpoint preference,
 //!   breaker-gated failover and `HEALTH`-probed readmission, with one
 //!   cached session per endpoint.
@@ -48,8 +47,8 @@ pub mod stats;
 pub use backoff::{Backoff, BackoffConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use budget::{BudgetConfig, RetryBudget};
-pub use client::{oneshot_request, Client, ClientConfig, ProtocolClient};
+pub use client::{Client, ClientConfig, ProtocolClient};
 pub use error::ClientError;
 pub use failover::{FailoverClient, FailoverConfig};
-pub use session::{ClientPool, PooledSession, Session};
+pub use session::Session;
 pub use stats::ClientStats;

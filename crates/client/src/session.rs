@@ -1,4 +1,4 @@
-//! Pipelined sessions over protocol v2, and a small connection pool.
+//! Pipelined sessions over protocol v2: the client's one transport.
 //!
 //! A [`Session`] is one persistent TCP connection that keeps **many requests
 //! in flight at once**: each request is framed `ID <tag> <verb...>` and the
@@ -24,14 +24,12 @@
 //!   ([`crate::Client`], [`crate::FailoverClient`]) do this automatically
 //!   because `SessionClosed` is retryable.
 //!
-//! # v1 fallback
+//! # Handshake
 //!
-//! [`Session::connect`] probes with `PROTO 2`. A server that answers
-//! anything other than `OK proto=2` (but answers with a *complete* frame)
-//! is assumed to speak plain v1; the session keeps the persistent
-//! connection but serializes requests on it (one in flight at a time).
-//! Connection reuse still saves the per-request TCP handshake; only the
-//! pipelining is lost.
+//! [`Session::connect`] sends `PROTO 2` and requires `OK proto=2` back.
+//! Every server in this workspace (replicas and the router) speaks v2, so
+//! any other complete reply fails the connect with
+//! [`ClientError::Protocol`] — retryable, like an incomplete hello.
 
 use crate::client::{classify_response, parse_ranked, parse_scores, score_line, ClientConfig};
 use crate::error::ClientError;
@@ -92,26 +90,6 @@ impl Core {
     }
 }
 
-/// v1-fallback I/O: the persistent connection without tags, so requests are
-/// serialized end-to-end under one lock.
-#[derive(Debug)]
-struct V1Io {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-#[derive(Debug)]
-enum Mode {
-    V2 {
-        writer: Mutex<TcpStream>,
-        next_tag: AtomicU64,
-        reader: Option<std::thread::JoinHandle<()>>,
-    },
-    V1 {
-        io: Mutex<V1Io>,
-    },
-}
-
 /// One persistent, pipelining connection to a server (see module docs).
 /// All request methods take `&self`: a `Session` is safe to share across
 /// threads, and sharing is how concurrent requests coalesce into the
@@ -121,14 +99,16 @@ pub struct Session {
     addr: SocketAddr,
     read_timeout: Duration,
     core: Arc<Core>,
-    mode: Mode,
+    writer: Mutex<TcpStream>,
+    next_tag: AtomicU64,
+    reader: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Session {
     /// Connect and negotiate. Sends `PROTO 2`; `OK proto=2` starts a
-    /// pipelined v2 session, any other complete frame falls back to a
-    /// serialized v1 session on the same connection. An incomplete or
-    /// missing handshake frame fails (retryable).
+    /// pipelined session. Any other complete frame fails with
+    /// [`ClientError::Protocol`], and an incomplete or missing one with a
+    /// transport error; both are retryable.
     pub fn connect(addr: SocketAddr, cfg: &ClientConfig) -> Result<Session, ClientError> {
         let stream =
             TcpStream::connect_timeout(&addr, cfg.connect_timeout).map_err(ClientError::Connect)?;
@@ -141,35 +121,28 @@ impl Session {
         writer.write_all(b"PROTO 2\n").map_err(ClientError::Io)?;
         let mut reader = BufReader::new(stream);
         let hello = read_frame(&mut reader)?;
+        if hello != "OK proto=2" {
+            return Err(ClientError::Protocol(hello));
+        }
         let core = Arc::new(Core::new());
-        let mode = if hello == "OK proto=2" {
-            let reader_core = Arc::clone(&core);
-            let handle = std::thread::Builder::new()
-                .name("rmpi-session-reader".into())
-                .spawn(move || reader_loop(reader, reader_core))
-                .map_err(ClientError::Io)?;
-            Mode::V2 {
-                writer: Mutex::new(writer),
-                next_tag: AtomicU64::new(1),
-                reader: Some(handle),
-            }
-        } else {
-            Mode::V1 { io: Mutex::new(V1Io { reader, writer }) }
-        };
-        Ok(Session { addr, read_timeout: cfg.read_timeout, core, mode })
+        let reader_core = Arc::clone(&core);
+        let handle = std::thread::Builder::new()
+            .name("rmpi-session-reader".into())
+            .spawn(move || reader_loop(reader, reader_core))
+            .map_err(ClientError::Io)?;
+        Ok(Session {
+            addr,
+            read_timeout: cfg.read_timeout,
+            core,
+            writer: Mutex::new(writer),
+            next_tag: AtomicU64::new(1),
+            reader: Some(handle),
+        })
     }
 
     /// The endpoint this session is connected to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Negotiated protocol version: 2 (pipelined) or 1 (fallback).
-    pub fn proto_version(&self) -> u32 {
-        match self.mode {
-            Mode::V2 { .. } => 2,
-            Mode::V1 { .. } => 1,
-        }
     }
 
     /// Whether the session can still serve requests. A dead session never
@@ -179,32 +152,19 @@ impl Session {
     }
 
     /// Send one request line and wait for its response payload. Safe to
-    /// call from many threads at once; on a v2 session the requests share
-    /// the wire concurrently.
+    /// call from many threads at once; the requests share the wire
+    /// concurrently.
     pub fn request(&self, line: &str) -> Result<String, ClientError> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let (tag, rx) = self.submit_v2(writer, next_tag, line)?;
-                self.wait_v2(tag, rx)
-            }
-            Mode::V1 { io } => self.request_v1(io, line),
-        }
+        self.request_timeout(line, self.read_timeout)
     }
 
     /// Like [`Session::request`], but waits at most `timeout` for **this**
     /// request's response instead of the session-wide read timeout. A
     /// timeout deregisters the waiter (a late reply is dropped) and does
-    /// not kill the session — exactly as with the session-wide clock. On a
-    /// v1-fallback session the socket's read timeout is fixed at connect,
-    /// so the serialized path keeps the session-wide clock.
+    /// not kill the session — exactly as with the session-wide clock.
     pub fn request_timeout(&self, line: &str, timeout: Duration) -> Result<String, ClientError> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let (tag, rx) = self.submit_v2(writer, next_tag, line)?;
-                self.wait_v2_for(tag, rx, timeout)
-            }
-            Mode::V1 { io } => self.request_v1(io, line),
-        }
+        let (tag, rx) = self.submit(line)?;
+        self.wait_for(tag, rx, timeout)
     }
 
     /// `DEADLINE <ms> SCORE h r t [...]` under a per-request wait of
@@ -225,48 +185,37 @@ impl Session {
     }
 
     /// Send many request lines and collect per-line results in submission
-    /// order. On a v2 session all lines are written back-to-back (one
-    /// buffered write) and sit in flight together — this is the client edge
-    /// of the server's cross-connection micro-batcher.
+    /// order. All lines are written back-to-back (one buffered write) and
+    /// sit in flight together — this is the client edge of the server's
+    /// cross-connection micro-batcher.
     pub fn request_many(&self, lines: &[&str]) -> Vec<Result<String, ClientError>> {
-        match &self.mode {
-            Mode::V2 { writer, next_tag, .. } => {
-                let submitted: Vec<_> = {
-                    // register every waiter, then push all frames in one
-                    // write: the server can start answering out of order
-                    // while later frames are still in the kernel buffer
-                    let mut buffer = String::new();
-                    let mut waiters = Vec::with_capacity(lines.len());
-                    for line in lines {
-                        if self.core.is_dead() {
-                            waiters.push(Err(self.core.closed_error()));
-                            continue;
-                        }
-                        let tag = next_tag.fetch_add(1, Ordering::Relaxed);
-                        let (tx, rx) = mpsc::sync_channel(1);
-                        self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
-                        buffer.push_str(&format!("ID {tag} {line}\n"));
-                        waiters.push(Ok((tag, rx)));
-                    }
-                    if !buffer.is_empty() {
-                        let mut w = writer.lock().expect("session writer lock");
-                        if let Err(e) = w.write_all(buffer.as_bytes()) {
-                            // die() hands every registered waiter its error
-                            self.core.die(&format!("write failed: {e}"));
-                        }
-                    }
-                    waiters
-                };
-                submitted
-                    .into_iter()
-                    .map(|w| match w {
-                        Ok((tag, rx)) => self.wait_v2(tag, rx),
-                        Err(e) => Err(e),
-                    })
-                    .collect()
+        // register every waiter, then push all frames in one write: the
+        // server can start answering out of order while later frames are
+        // still in the kernel buffer
+        let mut buffer = String::new();
+        let mut waiters = Vec::with_capacity(lines.len());
+        for line in lines {
+            if self.core.is_dead() {
+                waiters.push(Err(self.core.closed_error()));
+                continue;
             }
-            Mode::V1 { io } => lines.iter().map(|line| self.request_v1(io, line)).collect(),
+            let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
+            let (tx, rx) = mpsc::sync_channel(1);
+            self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
+            buffer.push_str(&format!("ID {tag} {line}\n"));
+            waiters.push(Ok((tag, rx)));
         }
+        if !buffer.is_empty() {
+            let mut w = self.writer.lock().expect("session writer lock");
+            if let Err(e) = w.write_all(buffer.as_bytes()) {
+                // die() hands every registered waiter its error
+                self.core.die(&format!("write failed: {e}"));
+            }
+        }
+        waiters
+            .into_iter()
+            .map(|w| w.and_then(|(tag, rx)| self.wait_for(tag, rx, self.read_timeout)))
+            .collect()
     }
 
     /// `SCORE h r t` → the served (bit-exact) score of one triple.
@@ -319,16 +268,14 @@ impl Session {
         self.request("HEALTH")
     }
 
-    fn submit_v2(
+    fn submit(
         &self,
-        writer: &Mutex<TcpStream>,
-        next_tag: &AtomicU64,
         line: &str,
     ) -> Result<(u64, mpsc::Receiver<Result<String, ClientError>>), ClientError> {
         if self.core.is_dead() {
             return Err(self.core.closed_error());
         }
-        let tag = next_tag.fetch_add(1, Ordering::Relaxed);
+        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::sync_channel(1);
         self.core.inflight.lock().expect("session inflight lock").insert(tag, tx);
         // the reader may have died between the liveness check and the
@@ -341,7 +288,7 @@ impl Session {
             return Ok((tag, rx));
         }
         {
-            let mut w = writer.lock().expect("session writer lock");
+            let mut w = self.writer.lock().expect("session writer lock");
             if let Err(e) = w.write_all(format!("ID {tag} {line}\n").as_bytes()) {
                 self.core.inflight.lock().expect("session inflight lock").remove(&tag);
                 self.core.die(&format!("write failed: {e}"));
@@ -351,15 +298,7 @@ impl Session {
         Ok((tag, rx))
     }
 
-    fn wait_v2(
-        &self,
-        tag: u64,
-        rx: mpsc::Receiver<Result<String, ClientError>>,
-    ) -> Result<String, ClientError> {
-        self.wait_v2_for(tag, rx, self.read_timeout)
-    }
-
-    fn wait_v2_for(
+    fn wait_for(
         &self,
         tag: u64,
         rx: mpsc::Receiver<Result<String, ClientError>>,
@@ -385,56 +324,24 @@ impl Session {
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.core.closed_error()),
         }
     }
-
-    fn request_v1(&self, io: &Mutex<V1Io>, line: &str) -> Result<String, ClientError> {
-        if self.core.is_dead() {
-            return Err(self.core.closed_error());
-        }
-        let mut io = io.lock().expect("session v1 io lock");
-        if self.core.is_dead() {
-            return Err(self.core.closed_error());
-        }
-        if let Err(e) = io.writer.write_all(format!("{line}\n").as_bytes()) {
-            self.core.die(&format!("write failed: {e}"));
-            return Err(ClientError::Io(e));
-        }
-        match read_frame(&mut io.reader) {
-            Ok(frame) => classify_response(&frame),
-            Err(e) => {
-                // the response was lost (or is late): without tags the
-                // stream cannot be resynchronised, so the session is done
-                self.core.die(&format!("v1 response lost: {e}"));
-                Err(e)
-            }
-        }
-    }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.core.die("session dropped");
-        match &mut self.mode {
-            Mode::V2 { writer, reader, .. } => {
-                // unblock the reader's read_line immediately, then join it
-                if let Ok(w) = writer.get_mut() {
-                    let _ = w.shutdown(Shutdown::Both);
-                }
-                if let Some(handle) = reader.take() {
-                    let _ = handle.join();
-                }
-            }
-            Mode::V1 { io } => {
-                if let Ok(io) = io.get_mut() {
-                    let _ = io.writer.shutdown(Shutdown::Both);
-                }
-            }
+        // unblock the reader's read_line immediately, then join it
+        if let Ok(w) = self.writer.get_mut() {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+        if let Some(handle) = self.reader.take() {
+            let _ = handle.join();
         }
     }
 }
 
 /// Read one complete `\n`-terminated frame. A line without its newline is
-/// damage ([`ClientError::TruncatedResponse`]), exactly as in the one-shot
-/// path.
+/// damage ([`ClientError::TruncatedResponse`]), exactly as on the pipelined
+/// stream.
 fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
     let mut line = String::new();
     match reader.read_line(&mut line) {
@@ -523,107 +430,11 @@ fn reader_loop(mut reader: BufReader<TcpStream>, core: Arc<Core>) {
     }
 }
 
-/// A small pool of [`Session`]s to one endpoint: checkout returns an idle
-/// live session or opens a fresh one; check-in (on drop) returns live
-/// sessions and discards dead ones.
-///
-/// For most callers one shared `Session` is enough (it pipelines); the pool
-/// is for callers that want bounded head-of-line sharing or v1-fallback
-/// endpoints (where a session serializes requests).
-#[derive(Debug)]
-pub struct ClientPool {
-    addr: SocketAddr,
-    cfg: ClientConfig,
-    max_idle: usize,
-    idle: Mutex<Vec<Session>>,
-}
-
-impl ClientPool {
-    /// A pool for `addr` keeping at most 8 idle sessions.
-    pub fn new(addr: SocketAddr, cfg: ClientConfig) -> ClientPool {
-        ClientPool { addr, cfg, max_idle: 8, idle: Mutex::new(Vec::new()) }
-    }
-
-    /// Cap the number of idle sessions kept for reuse.
-    pub fn with_max_idle(mut self, max_idle: usize) -> ClientPool {
-        self.max_idle = max_idle;
-        self
-    }
-
-    /// The endpoint this pool connects to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Number of idle sessions currently pooled.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().expect("pool lock").len()
-    }
-
-    /// Check out a session: reuse an idle live one, or connect. Dead idle
-    /// sessions found on the way are discarded.
-    pub fn get(&self) -> Result<PooledSession<'_>, ClientError> {
-        loop {
-            let candidate = self.idle.lock().expect("pool lock").pop();
-            match candidate {
-                Some(session) if session.is_alive() => {
-                    return Ok(PooledSession { pool: self, session: Some(session) });
-                }
-                Some(_dead) => continue,
-                None => break,
-            }
-        }
-        let session = Session::connect(self.addr, &self.cfg)?;
-        Ok(PooledSession { pool: self, session: Some(session) })
-    }
-
-    fn check_in(&self, session: Session) {
-        if !session.is_alive() {
-            return;
-        }
-        let mut idle = self.idle.lock().expect("pool lock");
-        if idle.len() < self.max_idle {
-            idle.push(session);
-        }
-    }
-}
-
-/// A checked-out session; returns to its pool on drop (if still alive).
-#[derive(Debug)]
-pub struct PooledSession<'a> {
-    pool: &'a ClientPool,
-    session: Option<Session>,
-}
-
-impl PooledSession<'_> {
-    /// Take the session out of the pool's management for good.
-    pub fn detach(mut self) -> Session {
-        self.session.take().expect("session present until drop")
-    }
-}
-
-impl std::ops::Deref for PooledSession<'_> {
-    type Target = Session;
-
-    fn deref(&self) -> &Session {
-        self.session.as_ref().expect("session present until drop")
-    }
-}
-
-impl Drop for PooledSession<'_> {
-    fn drop(&mut self) {
-        if let Some(session) = self.session.take() {
-            self.pool.check_in(session);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::BufRead;
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicUsize;
 
     fn cfg() -> ClientConfig {
         ClientConfig { read_timeout: Duration::from_millis(500), ..ClientConfig::default() }
@@ -686,7 +497,7 @@ mod tests {
     }
 
     /// A plain v1 server that answers `OK echo:<line>` to everything —
-    /// including the `PROTO 2` probe, which forces the fallback path.
+    /// including the `PROTO 2` hello, which it does not understand.
     fn v1_echo_server() -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -745,7 +556,6 @@ mod tests {
         });
 
         let session = Arc::new(Session::connect(addr, &cfg()).unwrap());
-        assert_eq!(session.proto_version(), 2);
         let results = session.request_many(&["PING", "HEALTH"]);
         assert_eq!(results[0].as_deref().unwrap(), "reply-to:PING");
         assert_eq!(results[1].as_deref().unwrap(), "reply-to:HEALTH");
@@ -754,14 +564,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_fallback_keeps_the_connection_and_serializes() {
+    fn a_complete_non_v2_hello_fails_connect_with_a_retryable_protocol_error() {
         let (addr, server) = v1_echo_server();
-        let session = Session::connect(addr, &cfg()).unwrap();
-        assert_eq!(session.proto_version(), 1, "echo server does not negotiate v2");
-        assert!(session.is_alive());
-        assert_eq!(session.request("PING").unwrap(), "echo:PING");
-        assert_eq!(session.request("HEALTH").unwrap(), "echo:HEALTH");
-        drop(session);
+        let err = Session::connect(addr, &cfg()).unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Protocol(hello) if hello == "OK echo:PROTO 2"),
+            "{err}"
+        );
+        assert!(err.is_retryable());
         server.join().unwrap();
     }
 
@@ -867,62 +677,6 @@ mod tests {
         );
         assert!(!session.is_alive());
         drop(session);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn pool_reuses_live_sessions_and_discards_dead_ones() {
-        let opened = Arc::new(AtomicUsize::new(0));
-        let server_opened = Arc::clone(&opened);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for conn in listener.incoming().take(2) {
-                server_opened.fetch_add(1, Ordering::SeqCst);
-                let conn = conn.unwrap();
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(conn.try_clone().unwrap());
-                    let mut conn = conn;
-                    let mut line = String::new();
-                    while reader.read_line(&mut line).map(|n| n > 0).unwrap_or(false) {
-                        let trimmed = line.trim_end();
-                        let reply = match parse_tagged_response(trimmed) {
-                            Some((tag, _)) => format!("ID {tag} OK pong"),
-                            None => "OK proto=2".to_owned(),
-                        };
-                        if writeln!(conn, "{reply}").is_err() {
-                            return;
-                        }
-                        line.clear();
-                    }
-                });
-            }
-        });
-
-        let pool = ClientPool::new(addr, cfg()).with_max_idle(2);
-        {
-            let s = pool.get().unwrap();
-            s.ping().unwrap();
-        } // checked back in
-        assert_eq!(pool.idle_count(), 1);
-        {
-            let s = pool.get().unwrap();
-            s.ping().unwrap();
-        }
-        assert_eq!(opened.load(Ordering::SeqCst), 1, "second checkout reused the session");
-
-        // kill the pooled session behind the pool's back, then check out:
-        // the dead one is discarded and a fresh one is opened
-        {
-            let s = pool.get().unwrap();
-            s.core.die("test kill");
-        }
-        assert_eq!(pool.idle_count(), 0, "dead session not checked back in");
-        let s = pool.get().unwrap();
-        s.ping().unwrap();
-        assert_eq!(opened.load(Ordering::SeqCst), 2);
-        drop(s);
-        drop(pool);
         server.join().unwrap();
     }
 }

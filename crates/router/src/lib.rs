@@ -1,5 +1,5 @@
 //! `rmpi-router` — a scatter-gather front end for a fleet of `rmpi-serve`
-//! replicas, speaking the same v1/v2 line protocol on both sides.
+//! replicas: v1/v2 line protocol to its clients, v2 sessions to the shards.
 //!
 //! A single replica ranks its whole candidate set per `RANK`; the router
 //! splits that work across N shard replicas and merges the per-shard

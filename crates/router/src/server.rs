@@ -24,15 +24,23 @@
 //! work on the caller's clock. The front end answers a connection's
 //! requests in order — in-order delivery is a valid v2 implementation, and
 //! pipelined clients still keep many requests in flight.
+//!
+//! Request lines are capped at 64 KiB, the replicas' default: an overlong
+//! line is answered `ERR request too long` and the connection is closed, so
+//! a peer that never sends a newline cannot make the router buffer without
+//! bound.
 
 use crate::router::{RankOutcome, Router};
 use rmpi_client::{BreakerState, ClientError, FailoverClient, FailoverConfig, ProtocolClient};
 use rmpi_obs::MetricsRegistry;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The longest request line the front end accepts, terminator excluded.
+const MAX_LINE_LEN: usize = 64 * 1024;
 
 /// A running router front end; shuts down on [`RouterHandle::shutdown`] or
 /// drop.
@@ -126,8 +134,19 @@ fn handle_conn(router: Arc<Router>, spec: &PassthroughSpec, stream: TcpStream) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // one byte past the cap (plus the newline) tells an overlong line
+        // from one that exactly fits
+        match (&mut reader).take(MAX_LINE_LEN as u64 + 1).read_line(&mut line) {
             Ok(0) | Err(_) => return,
+            Ok(n) if n > MAX_LINE_LEN && !line.ends_with('\n') => {
+                let _ = writeln!(out, "ERR request too long (over {MAX_LINE_LEN} bytes)");
+                // FIN after the answer, then drain what is still in flight:
+                // closing with unread input would send a reset instead
+                let _ = out.shutdown(Shutdown::Write);
+                let _ = out.set_read_timeout(Some(Duration::from_millis(200)));
+                let _ = io::copy(&mut reader.take(MAX_LINE_LEN as u64), &mut io::sink());
+                return;
+            }
             Ok(_) => {}
         }
         // a DEADLINE hint's budget is spent from the moment the request
@@ -441,8 +460,8 @@ mod tests {
         let (a, b) = (replica(&engine), replica(&engine));
         let mut handle = serve_router(router_over(&[&a, &b])).expect("router");
         let cfg = ClientConfig::default();
+        // connect succeeds only on an `OK proto=2` hello
         let session = Session::connect(handle.addr(), &cfg).expect("session");
-        assert_eq!(session.proto_version(), 2, "router negotiates v2");
         let offline = engine.score_batch(&[Triple::new(1u32, 1u32, 2u32)]).unwrap();
         assert_eq!(session.score(1, 1, 2).expect("score via router"), offline[0]);
         let ranked = session.rank_tails(0, 0, 4).expect("rank via router");
@@ -454,6 +473,29 @@ mod tests {
         assert_eq!(scores[0], offline[0]);
         session.ping().expect("ping");
         drop(session);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn overlong_line_is_rejected_and_the_router_keeps_serving() {
+        let engine = test_engine();
+        let a = replica(&engine);
+        let mut handle = serve_router(router_over(&[&a])).expect("router");
+        let (mut stream, mut reader) = connect(&handle);
+        // fail rather than hang should the router wait for a newline
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        // well past what the router buffers before it answers, newline last
+        stream.write_all("9".repeat(2 * MAX_LINE_LEN).as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send newline");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("recv");
+        assert_eq!(reply, "ERR request too long (over 65536 bytes)\n");
+        // a clean close, not a reset, even with input still in flight
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("read to close");
+        assert!(rest.is_empty(), "bytes after the rejection: {rest:?}");
+        let (mut other, mut other_reader) = connect(&handle);
+        assert_eq!(query(&mut other, &mut other_reader, "PING"), "OK pong");
         handle.shutdown();
     }
 

@@ -238,9 +238,11 @@ impl ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmpi_testutil::failpoint;
 
     #[test]
     fn results_come_back_in_index_order() {
+        let _fp = failpoint::shared();
         for threads in [1, 2, 3, 4, 7] {
             let pool = ThreadPool::new(threads);
             let out = pool.map_indexed(23, |i| i * i);
@@ -250,6 +252,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs() {
+        let _fp = failpoint::shared();
         let pool = ThreadPool::new(4);
         assert!(pool.map_indexed(0, |i| i).is_empty());
         assert_eq!(pool.map_indexed(1, |i| i + 10), vec![10]);
@@ -258,6 +261,7 @@ mod tests {
 
     #[test]
     fn init_state_is_per_worker_and_reused() {
+        let _fp = failpoint::shared();
         let pool = ThreadPool::new(2);
         // each worker counts how many items it processed via its own state
         let out = pool.map_init(
@@ -279,6 +283,7 @@ mod tests {
 
     #[test]
     fn workers_capped_by_items() {
+        let _fp = failpoint::shared();
         let pool = ThreadPool::new(16);
         assert_eq!(pool.workers(), 16);
         let out = pool.map_indexed(2, |i| i);
@@ -293,6 +298,7 @@ mod tests {
 
     #[test]
     fn panicking_item_becomes_typed_error_and_pool_stays_usable() {
+        let _fp = failpoint::shared();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
             let err = pool
@@ -318,6 +324,7 @@ mod tests {
 
     #[test]
     fn earliest_panicking_index_wins_across_shards() {
+        let _fp = failpoint::shared();
         let pool = ThreadPool::new(4);
         let err = pool
             .try_map_indexed(16, |i| {
@@ -333,6 +340,7 @@ mod tests {
 
     #[test]
     fn map_init_panic_propagates_on_infallible_path() {
+        let _fp = failpoint::shared();
         let pool = ThreadPool::new(2);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_indexed(6, |i| if i == 3 { panic!("legacy contract") } else { i })
@@ -345,7 +353,7 @@ mod tests {
 
     #[test]
     fn delayed_worker_failpoint_only_slows_not_breaks() {
-        use rmpi_testutil::failpoint::{self, Action};
+        use rmpi_testutil::failpoint::Action;
         let _lock = failpoint::exclusive();
         failpoint::arm(SHARD_FAILPOINT, Action::Delay(std::time::Duration::from_millis(5)));
         let out = ThreadPool::new(2).try_map_indexed(4, |i| i).unwrap();
@@ -355,7 +363,8 @@ mod tests {
 
     #[test]
     fn pool_records_map_metrics_into_global_registry() {
-        // deltas, not absolutes: other tests in this process also drive pools
+        // exact deltas: no other pool may run while this one is counted
+        let _fp = failpoint::exclusive();
         let maps_before = pool_metrics().maps.get();
         let items_before = pool_metrics().items.get();
         let busy_before = pool_metrics().shard_busy.count();
@@ -369,6 +378,7 @@ mod tests {
 
     #[test]
     fn pool_counts_caught_panics() {
+        let _fp = failpoint::shared();
         let before = pool_metrics().panics.get();
         let pool = ThreadPool::new(2);
         let _ = pool.try_map_indexed(8, |i| if i == 5 { panic!("bomb") } else { i });
@@ -377,6 +387,7 @@ mod tests {
 
     #[test]
     fn registry_survives_hammering_from_pool_workers() {
+        let _fp = failpoint::shared();
         // concurrency smoke test: every worker creates and records metrics
         // through the registry at once; nothing is lost or deadlocked
         let reg = std::sync::Arc::new(rmpi_obs::MetricsRegistry::new());
@@ -401,7 +412,7 @@ mod tests {
 
     #[test]
     fn panicking_worker_failpoint_is_isolated() {
-        use rmpi_testutil::failpoint::{self, Action};
+        use rmpi_testutil::failpoint::Action;
         let _lock = failpoint::exclusive();
         // second shard hit panics: with 2 workers that is one whole shard
         failpoint::arm_after(SHARD_FAILPOINT, Action::Panic("injected shard panic".into()), 1);

@@ -325,6 +325,7 @@ mod tests {
     use rmpi_core::{RmpiConfig, RmpiModel};
     use rmpi_kg::{EntityId, KnowledgeGraph, RelationId, Triple};
     use rmpi_obs::MetricsRegistry;
+    use rmpi_testutil::failpoint;
     use std::sync::mpsc;
 
     fn test_engine(registry: Arc<MetricsRegistry>) -> Arc<Engine> {
@@ -346,6 +347,7 @@ mod tests {
 
     #[test]
     fn single_item_flushes_at_the_deadline_with_the_right_answer() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(Arc::clone(&registry));
         let t = Triple::new(0u32, 1u32, 2u32);
@@ -369,6 +371,7 @@ mod tests {
 
     #[test]
     fn full_budget_flushes_before_the_deadline() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(Arc::clone(&registry));
         // window far beyond the test timeout: only the budget can flush
@@ -398,6 +401,7 @@ mod tests {
 
     #[test]
     fn oversized_rank_item_flushes_alone() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(Arc::clone(&registry));
         // rank_width = 5 present entities > max_batch = 2
@@ -415,6 +419,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_items_and_rejects_late_ones() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(registry);
         let t = Triple::new(0u32, 1u32, 2u32);
@@ -437,7 +442,6 @@ mod tests {
 
     #[test]
     fn reload_mid_window_scores_the_whole_batch_under_one_snapshot() {
-        use rmpi_testutil::failpoint;
         let _lock = failpoint::exclusive();
         let dir = std::env::temp_dir().join(format!("rmpi-batch-reload-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -479,6 +483,7 @@ mod tests {
 
     #[test]
     fn item_deadline_tightens_the_window() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(registry);
         let t = Triple::new(0u32, 1u32, 2u32);
@@ -503,6 +508,7 @@ mod tests {
 
     #[test]
     fn expired_item_is_shed_not_scored_late() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(Arc::clone(&registry));
         let t = Triple::new(0u32, 1u32, 2u32);
@@ -530,6 +536,7 @@ mod tests {
 
     #[test]
     fn per_item_errors_do_not_poison_batch_mates() {
+        let _fp = failpoint::shared();
         let registry = Arc::new(MetricsRegistry::new());
         let engine = test_engine(registry);
         let good = Triple::new(0u32, 1u32, 2u32);

@@ -396,6 +396,7 @@ mod tests {
     use rmpi_core::RmpiConfig;
     use rmpi_kg::{KnowledgeGraph, Triple};
     use rmpi_store::{build_from_graph, StoreConfig};
+    use rmpi_testutil::failpoint;
     use std::path::PathBuf;
 
     fn toy_graph() -> KnowledgeGraph {
@@ -420,6 +421,7 @@ mod tests {
 
     #[test]
     fn roundtrips_with_graph_section() {
+        let _fp = failpoint::shared();
         let root = scratch("roundtrip");
         let store_dir = root.join("world.store");
         build_from_graph(
@@ -443,6 +445,7 @@ mod tests {
 
     #[test]
     fn roundtrips_without_graph() {
+        let _fp = failpoint::shared();
         let root = scratch("nograph");
         let bdir = root.join("model.bundled");
         save_bundle_dir(&bdir, &model(), &[], None).unwrap();
@@ -454,6 +457,7 @@ mod tests {
 
     #[test]
     fn corrupt_graph_segment_is_rejected_naming_the_file() {
+        let _fp = failpoint::shared();
         let root = scratch("corrupt-seg");
         let store_dir = root.join("world.store");
         build_from_graph(&store_dir, StoreConfig::default(), &toy_graph()).unwrap();
@@ -480,6 +484,7 @@ mod tests {
 
     #[test]
     fn corrupt_params_is_rejected_naming_the_file() {
+        let _fp = failpoint::shared();
         let root = scratch("corrupt-params");
         let bdir = root.join("model.bundled");
         save_bundle_dir(&bdir, &model(), &[], None).unwrap();
@@ -500,6 +505,7 @@ mod tests {
 
     #[test]
     fn truncated_section_reports_its_manifest_line() {
+        let _fp = failpoint::shared();
         let root = scratch("truncated");
         let store_dir = root.join("world.store");
         build_from_graph(&store_dir, StoreConfig::default(), &toy_graph()).unwrap();
@@ -523,6 +529,7 @@ mod tests {
 
     #[test]
     fn rejects_unsafe_section_paths_and_bad_manifests() {
+        let _fp = failpoint::shared();
         let root = scratch("hostile");
         let bdir = root.join("model.bundled");
         save_bundle_dir(&bdir, &model(), &[], None).unwrap();

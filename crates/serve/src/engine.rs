@@ -557,47 +557,16 @@ impl Engine {
     /// `model.score(graph, t, &mut StdRng::seed_from_u64(seed))`. A panic in
     /// the scoring path is caught and reported as [`ServeError::Internal`].
     pub fn score(&self, target: Triple) -> Result<f32, ServeError> {
-        let state = self.snapshot();
-        self.check_relation(&state.model, target.relation)?;
-        let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample = self.prepared(&state, target)?;
-            Ok(state.model.score_sample(&sample))
-        }));
-        match outcome {
-            Ok(Ok(score)) => {
-                self.stats.record_score_call(1, t0.elapsed());
-                Ok(score)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(p) => Err(self.classify_failure(panic_message(p.as_ref()))),
-        }
+        Ok(self.score_batch(&[target])?[0])
     }
 
-    /// Score a batch, sharded across the worker pool. Each worker reuses one
-    /// tape arena for its whole shard; results come back in request order.
-    /// A worker panic fails only this request, not the pool.
+    /// Score a batch, sharded across the worker pool; results come back in
+    /// request order. An unknown relation fails the whole call, and a
+    /// worker panic fails only this request, not the pool.
     pub fn score_batch(&self, targets: &[Triple]) -> Result<Vec<f32>, ServeError> {
-        let state = self.snapshot();
-        for t in targets {
-            self.check_relation(&state.model, t.relation)?;
-        }
-        let t0 = Instant::now();
-        let scores = self.pool.try_map_init(targets.len(), Tape::new, |tape, i| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample = self.prepared(&state, targets[i])?;
-            tape.reset();
-            let v = state.model.score_sample_on_tape(tape, &sample);
-            Ok::<f32, ServeError>(tape.value(v).item())
-        });
-        match scores {
-            Ok(scores) => {
-                let scores = scores.into_iter().collect::<Result<Vec<f32>, ServeError>>()?;
-                self.stats.record_score_call(targets.len() as u64, t0.elapsed());
-                Ok(scores)
-            }
-            Err(e) => Err(self.classify_failure(e.to_string())),
+        match self.run_one(BatchItem::Score(targets.to_vec()))? {
+            BatchOutcome::Scores(scores) => Ok(scores),
+            BatchOutcome::Ranked(_) => unreachable!("a score item answers with scores"),
         }
     }
 
@@ -611,24 +580,15 @@ impl Engine {
         relation: RelationId,
         k: usize,
     ) -> Result<Vec<(EntityId, f32)>, ServeError> {
-        let state = self.snapshot();
-        self.check_relation(&state.model, relation)?;
-        let t0 = Instant::now();
-        let scores = self.pool.try_map_init(self.candidates.len(), Tape::new, |tape, i| {
-            failpoint::point(SCORE_FAILPOINT);
-            let sample =
-                self.prepared(&state, Triple { head, relation, tail: self.candidates[i] })?;
-            tape.reset();
-            let v = state.model.score_sample_on_tape(tape, &sample);
-            Ok::<f32, ServeError>(tape.value(v).item())
-        });
-        let scores = match scores {
-            Ok(s) => s.into_iter().collect::<Result<Vec<f32>, ServeError>>()?,
-            Err(e) => return Err(self.classify_failure(e.to_string())),
-        };
-        let ranked = order_ranked(&self.candidates, scores, k);
-        self.stats.record_rank_call(self.candidates.len() as u64, t0.elapsed());
-        Ok(ranked)
+        match self.run_one(BatchItem::Rank { head, relation, k })? {
+            BatchOutcome::Ranked(ranked) => Ok(ranked),
+            BatchOutcome::Scores(_) => unreachable!("a rank item answers with a ranking"),
+        }
+    }
+
+    /// A one-item [`Engine::run_batch`].
+    fn run_one(&self, item: BatchItem) -> Result<BatchOutcome, ServeError> {
+        self.run_batch(std::slice::from_ref(&item)).pop().expect("one answer per item")
     }
 
     /// How many candidates one [`BatchItem::Rank`] expands into — every
@@ -641,13 +601,13 @@ impl Engine {
     /// Run a coalesced batch of independent requests through **one** model
     /// snapshot and **one** pool fan-out, answering each item separately.
     ///
-    /// This is the micro-batcher's entry point: items from different
-    /// connections, collected within one batching window, score together
-    /// exactly as `score_batch` would score their concatenation — so every
-    /// item's answer is bit-identical to calling [`Engine::score`] /
-    /// [`Engine::rank_tails`] for it alone (the determinism contract above;
-    /// extraction and the forward pass depend only on `(graph, target,
-    /// seed)`, never on batch-mates).
+    /// This is the engine's only scoring loop: [`Engine::score`],
+    /// [`Engine::score_batch`] and [`Engine::rank_tails`] are one-item
+    /// batches, and the micro-batcher hands it items from different
+    /// connections collected within one batching window. Every item's
+    /// answer is bit-identical to scoring it alone (the determinism contract
+    /// above; extraction and the forward pass depend only on `(graph,
+    /// target, seed)`, never on batch-mates).
     ///
     /// Failure is isolated per item: a bad relation fails only its own item,
     /// and a degraded-store rejection on one item's extraction leaves the
@@ -657,111 +617,75 @@ impl Engine {
     /// single `Arc<ModelState>` clone, a concurrent [`Engine::reload_from`]
     /// can never split one batch across two models.
     pub fn run_batch(&self, items: &[BatchItem]) -> Vec<Result<BatchOutcome, ServeError>> {
-        enum Plan {
-            Failed,
-            Score { len: usize },
-            Rank { k: usize },
-        }
         let state = self.snapshot();
         let t0 = Instant::now();
-        // expansion: validate each item, flatten the survivors into one
-        // target list (rank items fan out over every candidate)
-        let mut plans = Vec::with_capacity(items.len());
-        let mut results: Vec<Option<Result<BatchOutcome, ServeError>>> =
-            Vec::with_capacity(items.len());
-        let mut flat: Vec<Triple> = Vec::new();
-        for item in items {
-            match item {
+        // validate each item, then flatten the survivors into one target
+        // list (rank items fan out over every candidate)
+        let checked: Vec<Result<(), ServeError>> = items
+            .iter()
+            .map(|item| match item {
                 BatchItem::Score(targets) => {
-                    match targets
-                        .iter()
-                        .try_for_each(|t| self.check_relation(&state.model, t.relation))
-                    {
-                        Ok(()) => {
-                            flat.extend_from_slice(targets);
-                            plans.push(Plan::Score { len: targets.len() });
-                            results.push(None);
-                        }
-                        Err(e) => {
-                            plans.push(Plan::Failed);
-                            results.push(Some(Err(e)));
-                        }
-                    }
+                    targets.iter().try_for_each(|t| self.check_relation(&state.model, t.relation))
                 }
-                BatchItem::Rank { head, relation, k } => {
-                    match self.check_relation(&state.model, *relation) {
-                        Ok(()) => {
-                            flat.extend(self.candidates.iter().map(|&tail| Triple {
-                                head: *head,
-                                relation: *relation,
-                                tail,
-                            }));
-                            plans.push(Plan::Rank { k: *k });
-                            results.push(None);
-                        }
-                        Err(e) => {
-                            plans.push(Plan::Failed);
-                            results.push(Some(Err(e)));
-                        }
-                    }
+                BatchItem::Rank { relation, .. } => self.check_relation(&state.model, *relation),
+            })
+            .collect();
+        let mut flat: Vec<Triple> = Vec::new();
+        for (item, _) in items.iter().zip(&checked).filter(|(_, ok)| ok.is_ok()) {
+            match item {
+                BatchItem::Score(targets) => flat.extend_from_slice(targets),
+                &BatchItem::Rank { head, relation, .. } => {
+                    flat.extend(self.candidates.iter().map(|&tail| Triple { head, relation, tail }))
                 }
             }
         }
-        let pool_out = if flat.is_empty() {
-            Ok(Vec::new())
-        } else {
-            self.pool.try_map_init(flat.len(), Tape::new, |tape, i| {
-                failpoint::point(SCORE_FAILPOINT);
-                let sample = self.prepared(&state, flat[i])?;
-                tape.reset();
-                let v = state.model.score_sample_on_tape(tape, &sample);
-                Ok::<f32, ServeError>(tape.value(v).item())
-            })
-        };
-        match pool_out {
+        let scored = self.pool.try_map_init(flat.len(), Tape::new, |tape, i| {
+            failpoint::point(SCORE_FAILPOINT);
+            let sample = self.prepared(&state, flat[i])?;
+            tape.reset();
+            let v = state.model.score_sample_on_tape(tape, &sample);
+            Ok::<f32, ServeError>(tape.value(v).item())
+        });
+        let elapsed = t0.elapsed();
+        let mut scored = match scored {
+            Ok(scored) => scored.into_iter(),
             Err(e) => {
                 // a worker panic fails every still-unanswered item, each with
                 // its own classified error (ServeError is not Clone)
-                let msg = e.to_string();
-                for slot in results.iter_mut().filter(|s| s.is_none()) {
-                    *slot = Some(Err(self.classify_failure(msg.clone())));
-                }
+                let message = e.to_string();
+                return checked
+                    .into_iter()
+                    .map(|ok| ok.and_then(|()| Err(self.classify_failure(message.clone()))))
+                    .collect();
             }
-            Ok(elems) => {
-                let elapsed = t0.elapsed();
-                let mut cursor = elems.into_iter();
-                for (slot, plan) in results.iter_mut().zip(&plans) {
-                    let take = match plan {
-                        Plan::Failed => continue,
-                        Plan::Score { len } => *len,
-                        Plan::Rank { .. } => self.candidates.len(),
-                    };
-                    // drain exactly `take` elements even when one errors, so
-                    // later items stay aligned with their span of the batch
-                    let span: Vec<Result<f32, ServeError>> = cursor.by_ref().take(take).collect();
-                    debug_assert_eq!(span.len(), take, "flat batch misaligned");
-                    let scores: Result<Vec<f32>, ServeError> = span.into_iter().collect();
-                    *slot = Some(scores.map(|scores| match plan {
-                        Plan::Score { len } => {
-                            self.stats.record_score_call(*len as u64, elapsed);
-                            BatchOutcome::Scores(scores)
-                        }
-                        Plan::Rank { k } => {
-                            self.stats.record_rank_call(self.candidates.len() as u64, elapsed);
-                            BatchOutcome::Ranked(order_ranked(&self.candidates, scores, *k))
-                        }
-                        Plan::Failed => unreachable!("failed items answered above"),
-                    }));
-                }
-            }
-        }
-        results.into_iter().map(|slot| slot.expect("every batch item answered")).collect()
+        };
+        items
+            .iter()
+            .zip(checked)
+            .map(|(item, ok)| {
+                ok?;
+                // drain the item's whole span even when one target errors,
+                // so later items stay aligned with their span of the batch
+                let span: Vec<Result<f32, ServeError>> =
+                    scored.by_ref().take(item.cost(self.candidates.len())).collect();
+                let scores = span.into_iter().collect::<Result<Vec<f32>, ServeError>>()?;
+                Ok(match *item {
+                    BatchItem::Score(_) => {
+                        self.stats.record_score_call(scores.len() as u64, elapsed);
+                        BatchOutcome::Scores(scores)
+                    }
+                    BatchItem::Rank { k, .. } => {
+                        self.stats.record_rank_call(self.candidates.len() as u64, elapsed);
+                        BatchOutcome::Ranked(order_ranked(&self.candidates, scores, k))
+                    }
+                })
+            })
+            .collect()
     }
 }
 
-/// The deterministic ranking order shared by [`Engine::rank_tails`] and
-/// [`Engine::run_batch`]: descending score, ties towards the smaller entity
-/// id — factored out so the batched path cannot drift from the direct one.
+/// The deterministic ranking order of every rank answer: descending score,
+/// ties towards the smaller entity id.
 fn order_ranked(candidates: &[EntityId], scores: Vec<f32>, k: usize) -> Vec<(EntityId, f32)> {
     let mut ranked: Vec<(EntityId, f32)> = candidates.iter().copied().zip(scores).collect();
     ranked.sort_by(|a, b| {
@@ -799,6 +723,7 @@ mod tests {
 
     #[test]
     fn scores_match_offline_on_miss_and_hit() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 16);
         let t = Triple::new(0u32, 5u32, 3u32);
         let offline =
@@ -813,6 +738,7 @@ mod tests {
 
     #[test]
     fn batch_scores_are_thread_count_invariant() {
+        let _fp = failpoint::shared();
         let targets: Vec<Triple> =
             (0..12u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
         let sequential = setup(1, 64).score_batch(&targets).unwrap();
@@ -827,6 +753,7 @@ mod tests {
 
     #[test]
     fn unknown_relation_is_an_error_not_a_panic() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 4);
         let err = engine.score(Triple::new(0u32, 17u32, 1u32)).unwrap_err();
         assert!(matches!(err, ServeError::UnknownRelation(17)), "{err}");
@@ -838,6 +765,7 @@ mod tests {
 
     #[test]
     fn rank_tails_returns_sorted_top_k() {
+        let _fp = failpoint::shared();
         let engine = setup(2, 64);
         let ranked = engine.rank_tails(EntityId(0), RelationId(1), 3).unwrap();
         assert_eq!(ranked.len(), 3);
@@ -854,7 +782,7 @@ mod tests {
 
     #[test]
     fn run_batch_matches_direct_calls_bit_for_bit() {
-        let engine = setup(2, 64);
+        let _fp = failpoint::shared();
         let targets: Vec<Triple> =
             (0..6u32).map(|i| Triple::new(i % 5, i % 6, (i + 1) % 5)).collect();
         let items = vec![
@@ -862,25 +790,52 @@ mod tests {
             BatchItem::Rank { head: EntityId(0), relation: RelationId(1), k: 3 },
             BatchItem::Score(vec![targets[0]]),
         ];
-        let out = engine.run_batch(&items);
-        assert_eq!(out.len(), 3);
-        assert_eq!(
-            out[0].as_ref().unwrap(),
-            &BatchOutcome::Scores(engine.score_batch(&targets).unwrap())
-        );
-        assert_eq!(
-            out[1].as_ref().unwrap(),
-            &BatchOutcome::Ranked(engine.rank_tails(EntityId(0), RelationId(1), 3).unwrap())
-        );
-        assert_eq!(
-            out[2].as_ref().unwrap(),
-            &BatchOutcome::Scores(vec![engine.score(targets[0]).unwrap()])
-        );
-        assert!(engine.run_batch(&[]).is_empty());
+        for (threads, cache) in [(1, 0), (1, 64), (2, 0), (2, 64)] {
+            let engine = setup(threads, cache);
+            let out = engine.run_batch(&items);
+            assert_eq!(out.len(), 3);
+            assert_eq!(
+                out[0].as_ref().unwrap(),
+                &BatchOutcome::Scores(engine.score_batch(&targets).unwrap())
+            );
+            assert_eq!(
+                out[1].as_ref().unwrap(),
+                &BatchOutcome::Ranked(engine.rank_tails(EntityId(0), RelationId(1), 3).unwrap())
+            );
+            assert_eq!(
+                out[2].as_ref().unwrap(),
+                &BatchOutcome::Scores(vec![engine.score(targets[0]).unwrap()])
+            );
+            assert!(engine.run_batch(&[]).is_empty());
+
+            // the wrappers above are run_batch too: the offline model under
+            // the engine seed is the independent reference for every item
+            let model = engine.model();
+            let graph = engine.graph().unwrap();
+            let offline = |t: Triple| model.score(graph, t, &mut StdRng::seed_from_u64(9));
+            let candidates = graph.present_entities();
+            let rank_scores = candidates
+                .iter()
+                .map(|&tail| offline(Triple { head: EntityId(0), relation: RelationId(1), tail }))
+                .collect();
+            let expected = [
+                BatchOutcome::Scores(targets.iter().map(|&t| offline(t)).collect()),
+                BatchOutcome::Ranked(order_ranked(&candidates, rank_scores, 3)),
+                BatchOutcome::Scores(vec![offline(targets[0])]),
+            ];
+            for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    got.as_ref().unwrap(),
+                    want,
+                    "item {i}, threads={threads} cache={cache}"
+                );
+            }
+        }
     }
 
     #[test]
     fn run_batch_isolates_per_item_failures() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 16);
         let good = Triple::new(0u32, 0u32, 1u32);
         let items = vec![
@@ -924,6 +879,7 @@ mod tests {
 
     #[test]
     fn stats_json_reflects_traffic() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);
         engine.score(t).unwrap();
@@ -936,6 +892,7 @@ mod tests {
 
     #[test]
     fn metrics_json_carries_cache_gauges_and_latency_percentiles() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);
         engine.score(t).unwrap();
@@ -952,6 +909,7 @@ mod tests {
 
     #[test]
     fn clear_cache_forces_reextraction_with_same_result() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);
         let a = engine.score(t).unwrap();
@@ -964,6 +922,7 @@ mod tests {
 
     #[test]
     fn reload_from_missing_bundle_keeps_serving_and_counts_failure() {
+        let _fp = failpoint::shared();
         let engine = setup(1, 8);
         let t = Triple::new(0u32, 1u32, 2u32);
         let before = engine.score(t).unwrap();
@@ -1015,6 +974,7 @@ mod tests {
 
     #[test]
     fn store_backend_scores_bit_identically_to_memory() {
+        let _fp = failpoint::shared();
         use rmpi_store::{build_from_graph, ReadMode, StoreConfig};
         let graph = KnowledgeGraph::from_triples(vec![
             Triple::new(0u32, 0u32, 1u32),
@@ -1099,6 +1059,7 @@ mod tests {
 
     #[test]
     fn confirmed_corruption_degrades_engine_but_cache_keeps_serving() {
+        let _fp = failpoint::shared();
         use rmpi_store::{build_from_graph, ReadMode, StoreConfig, StoreReader};
         use std::io::{Read as _, Seek, SeekFrom, Write};
         let graph = store_test_graph();
@@ -1152,6 +1113,7 @@ mod tests {
 
     #[test]
     fn transient_read_faults_are_retried_not_degraded() {
+        let _fp = failpoint::shared();
         use rmpi_store::{build_from_graph, ReadMode, StoreConfig, StoreOptions, StoreReader};
         use rmpi_testutil::chaosfile::ChaosFileConfig;
         let graph = store_test_graph();

@@ -78,8 +78,8 @@ use crate::protocol::{
     format_error, format_ranked, format_scores, format_tagged, parse_request, parse_tagged, Request,
 };
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -353,6 +353,7 @@ fn handle_connection(shared: &Shared, job: Job) {
     // the batcher thread and inline answers from this worker serialise
     // without a lock — and a slow client stalls only its own writer
     let mut v2: Option<V2Writer> = None;
+    let mut overlong = false;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -371,6 +372,7 @@ fn handle_connection(shared: &Shared, job: Job) {
                         let _ = writeln!(stream, "{framed}");
                     }
                 }
+                overlong = true;
                 break; // can't resync mid-line reliably from a hostile peer
             }
             // clean disconnect, or a cut connection mid-line: nothing to answer
@@ -413,6 +415,24 @@ fn handle_connection(shared: &Shared, job: Job) {
         drop(writer.tx);
         let _ = writer.thread.join();
     }
+    if overlong {
+        close_after_rejection(&stream, &mut reader, shared.max_line_len);
+    }
+}
+
+/// How long a rejected connection waits for more input before it closes.
+const REJECT_LINGER: Duration = Duration::from_millis(200);
+
+/// Close a connection whose request line was rejected before its end. The
+/// rest of the line may still be in flight, and closing a socket with unread
+/// input makes the kernel send a reset, which can reach the peer before it
+/// has read the rejection. So the answer is followed by a FIN, and up to
+/// `limit` bytes of input are discarded until the peer closes or stays
+/// silent for [`REJECT_LINGER`].
+fn close_after_rejection(stream: &TcpStream, reader: &mut impl Read, limit: usize) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(REJECT_LINGER));
+    let _ = std::io::copy(&mut reader.take(limit as u64), &mut std::io::sink());
 }
 
 /// The write side of a v2 connection: a channel-fed thread owning a clone of
@@ -625,6 +645,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use rmpi_core::{RmpiConfig, RmpiModel};
     use rmpi_kg::{KnowledgeGraph, Triple};
+    use rmpi_testutil::failpoint;
     use std::io::BufRead;
 
     fn test_engine() -> Arc<Engine> {
@@ -653,6 +674,7 @@ mod tests {
 
     #[test]
     fn serves_ping_score_rank_stats_over_tcp() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
         let addr = server.addr();
@@ -687,6 +709,7 @@ mod tests {
 
     #[test]
     fn one_connection_can_send_many_requests() {
+        let _fp = failpoint::shared();
         let mut server = serve(test_engine(), ServerConfig::default()).expect("serve");
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -702,6 +725,7 @@ mod tests {
 
     #[test]
     fn overload_is_rejected_not_queued() {
+        let _fp = failpoint::shared();
         // zero workers would hang; instead use 1 worker and capacity 1, then
         // wedge the worker with a held-open idle connection so further
         // connections pile into the bounded queue
@@ -738,6 +762,7 @@ mod tests {
 
     #[test]
     fn overlong_line_is_rejected_and_counted() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(
             Arc::clone(&engine),
@@ -755,6 +780,7 @@ mod tests {
 
     #[test]
     fn idle_connection_is_closed_and_counted() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(
             Arc::clone(&engine),
@@ -773,6 +799,7 @@ mod tests {
 
     #[test]
     fn connection_cap_sheds_with_err_too_many_connections() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(
             Arc::clone(&engine),
@@ -804,6 +831,7 @@ mod tests {
 
     #[test]
     fn proto2_pipelines_tagged_requests_on_one_connection() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(
             Arc::clone(&engine),
@@ -872,6 +900,7 @@ mod tests {
 
     #[test]
     fn v2_deadline_hint_serves_in_time_and_sheds_late_items() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(
             Arc::clone(&engine),
@@ -903,6 +932,7 @@ mod tests {
 
     #[test]
     fn proto_rejects_unknown_versions_and_v1_still_serves() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server = serve(Arc::clone(&engine), ServerConfig::default()).expect("serve");
         let addr = server.addr();
@@ -922,6 +952,7 @@ mod tests {
 
     #[test]
     fn batching_disabled_still_serves_v1_and_v2() {
+        let _fp = failpoint::shared();
         let engine = test_engine();
         let mut server =
             serve(Arc::clone(&engine), ServerConfig { batching: false, ..ServerConfig::default() })
@@ -943,6 +974,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_unblocks_threads() {
+        let _fp = failpoint::shared();
         let mut server = serve(test_engine(), ServerConfig::default()).expect("serve");
         server.shutdown();
         server.shutdown();

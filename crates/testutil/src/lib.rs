@@ -48,7 +48,7 @@ pub use alloc::CountingAllocator;
 pub mod failpoint {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
     use std::time::Duration;
 
     /// What an armed failpoint does when hit.
@@ -98,12 +98,23 @@ pub mod failpoint {
         registry().lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// A process-wide lock for tests that arm failpoints: hold the guard for
-    /// the whole test so concurrently running tests never see each other's
-    /// injected faults.
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    /// The process-wide test lock behind [`exclusive`] and [`shared`].
+    static TEST_LOCK: RwLock<()> = RwLock::new(());
+
+    /// The write side of the process-wide test lock, for tests that arm
+    /// failpoints or assert exact deltas of global counters: hold the guard
+    /// for the whole test so no concurrently running test sees the injected
+    /// faults or moves the counters.
+    pub fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        TEST_LOCK.write().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The read side of the process-wide test lock, for bystander tests
+    /// that drive code with failpoints in it (a pool, an engine) without
+    /// arming any: they run concurrently with each other, never alongside
+    /// an [`exclusive`] holder.
+    pub fn shared() -> RwLockReadGuard<'static, ()> {
+        TEST_LOCK.read().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Arm `name` with `action`, firing from the first hit.

@@ -90,9 +90,8 @@ fn main() {
         assert_eq!(served.to_bits(), direct.to_bits(), "wire scores must match the engine");
     }
     println!(
-        "wire: {} pipelined scores over one proto v{} connection at {}",
+        "wire: {} pipelined scores over one proto v2 connection at {}",
         scores.len(),
-        session.proto_version(),
         server.addr()
     );
     server.shutdown();

@@ -50,6 +50,10 @@ cargo test -q -p rmpi-runtime
 echo "== serving layer: bundle + engine + protocol + micro-batcher unit tests =="
 cargo test -q -p rmpi-serve --lib
 
+echo "== failpoint isolation: pool + engine unit tests at 4 test threads, whatever the core count =="
+cargo test -q -p rmpi-runtime --lib -- --test-threads=4
+cargo test -q -p rmpi-serve --lib -- --test-threads=4
+
 echo "== serve smoke test: ephemeral-port server, scripted query batch, offline parity =="
 cargo test -q -p rmpi-serve --test serving
 

@@ -48,11 +48,10 @@ pub use rmpi_serve::{
 
 // the resilient serving client (pipelined sessions, retries, backoff,
 // replica failover); `ProtocolClient` carries the verb methods for both
-// retrying client flavours, `Session`/`ClientPool` are the multiplexed
-// transport underneath them
+// retrying client flavours, `Session` is the multiplexed transport
+// underneath them
 pub use rmpi_client::{
-    Client, ClientConfig, ClientError, ClientPool, FailoverClient, FailoverConfig, ProtocolClient,
-    Session,
+    Client, ClientConfig, ClientError, FailoverClient, FailoverConfig, ProtocolClient, Session,
 };
 
 // observability
